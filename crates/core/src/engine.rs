@@ -24,6 +24,12 @@
 //!   endpoint satisfies the predicate contains the first hit; the engine
 //!   rewinds to the block's start snapshot and replays stepwise to report
 //!   the exact first-hit step count — block size never changes results.
+//! * **Lookahead stepping**: the edge sampler never reads opinions, so
+//!   a block's pair stream is a function of the RNG alone.  The block
+//!   stepper draws each edge slot `LOOKAHEAD` steps ahead and prefetches
+//!   its endpoints, then the two opinion words half-way there, so at
+//!   large `n` those cache misses overlap instead of serialising.  The
+//!   draws, their order and every update are those of the plain loop.
 //! * **Branchless updates**: the signum and the aggregate increments
 //!   compile to arithmetic, not branches; the only data-dependent branch
 //!   left is the (rare) range-boundary shrink.
@@ -41,12 +47,18 @@ use std::time::Instant;
 use div_graph::Graph;
 use rand::{Rng, RngCore};
 
+use crate::kernels;
 use crate::telemetry::{Observer, Phase, PhaseEvent, TelemetrySample};
 use crate::{DivError, FaultSession, OpinionState, RunStatus, SelectionBias};
 
 /// Phase thresholds in crossing order: range width ≤ 1 is the paper's
 /// `τ`, width 0 is consensus.
 const PHASES: [(u32, Phase); 2] = [(1, Phase::TwoAdjacent), (0, Phase::Consensus)];
+
+/// How many steps ahead the lookahead stepper draws each pick (`D`; a
+/// power of two so ring slots are a mask).  Its endpoint slot is
+/// prefetched at draw time and its opinion words `D/2` steps later.
+const LOOKAHEAD: usize = 16;
 
 /// Which interaction law [`FastProcess`] compiles.
 ///
@@ -319,9 +331,10 @@ impl FastState {
     /// One DIV step: move `v` one unit toward `w`'s opinion.  The signum
     /// and all aggregate increments are branchless; when the pair already
     /// agrees every update is a provable no-op (`±0` / `−1+1`), so the
-    /// equal-opinion case needs no early exit.
+    /// equal-opinion case needs no early exit.  Returns `v`'s opinion
+    /// change (−1, 0 or +1).
     #[inline(always)]
-    fn apply(&mut self, v: usize, w: usize) {
+    fn apply(&mut self, v: usize, w: usize) -> i64 {
         let xv = self.opinions[v];
         let xw = self.opinions[w];
         let delta = (xw > xv) as i64 - (xw < xv) as i64;
@@ -346,6 +359,7 @@ impl FastState {
                 }
             }
         }
+        delta
     }
 
     /// One step toward an *arbitrary* observed offset (faulty runs): move
@@ -391,6 +405,71 @@ impl FastState {
     #[inline(always)]
     fn width(&self) -> u32 {
         self.hi - self.lo
+    }
+}
+
+/// `b` fault-free edge-sampler steps as a three-stage lookahead loop,
+/// reporting each updater and its opinion change to `on_step`.  Step
+/// `k`'s edge slot `j` is drawn at iteration `k − D` (and `endpoints[j]`
+/// prefetched), resolved into its `(updater, observed)` pair at
+/// `k − D/2` (when both opinion words are prefetched), and applied at
+/// iteration `k`.  The ring only ever holds this block's own `b` draws,
+/// made in step order, and drains before returning, so the RNG ends
+/// exactly where `b` plain picks leave it.  A prefetch is only a hint,
+/// so an apply that reads a word an earlier step wrote sees the written
+/// value as usual.
+// Out of line on purpose: inlined into the block engines, the ring code
+// slowed their plain per-step loop by about 12 % on `regular:1000:8`.
+#[inline(never)]
+fn step_lookahead<R: RngCore + ?Sized, F: FnMut(usize, i64)>(
+    endpoints: &[u32],
+    two_m: u64,
+    state: &mut FastState,
+    rng: &mut R,
+    b: u64,
+    mut on_step: F,
+) {
+    const MASK: usize = LOOKAHEAD - 1;
+    const HALF: usize = LOOKAHEAD / 2;
+    type Pairs = [(usize, usize); LOOKAHEAD];
+    let draw = |rng: &mut R| {
+        let j = bounded_u64(rng, two_m) as usize;
+        kernels::prefetch(endpoints, j);
+        j
+    };
+    let stage = |k: usize, slots: &[usize; LOOKAHEAD], pairs: &mut Pairs, opinions: &[u32]| {
+        let j = slots[k & MASK];
+        let (v, w) = (endpoints[j] as usize, endpoints[j ^ 1] as usize);
+        kernels::prefetch(opinions, v);
+        kernels::prefetch(opinions, w);
+        pairs[k & MASK] = (v, w);
+    };
+    let b = b as usize;
+    let mut slots = [0usize; LOOKAHEAD];
+    let mut pairs: Pairs = [(0, 0); LOOKAHEAD];
+    // Fill: draw steps 0..min(b, D), resolve steps 0..min(b, D/2).
+    for slot in slots.iter_mut().take(b) {
+        *slot = draw(rng);
+    }
+    for k in 0..b.min(HALF) {
+        stage(k, &slots, &mut pairs, &state.opinions);
+    }
+    // Steady state: resolve `i + D/2`, apply `i`, draw `i + D` into the
+    // slot `i` has just vacated.
+    let steady = b.saturating_sub(LOOKAHEAD);
+    for i in 0..steady {
+        stage(i + HALF, &slots, &mut pairs, &state.opinions);
+        let (v, w) = pairs[i & MASK];
+        on_step(v, state.apply(v, w));
+        slots[i & MASK] = draw(rng);
+    }
+    // Drain: the last `min(b, D)` steps draw nothing more.
+    for i in steady..b {
+        if i + HALF < b {
+            stage(i + HALF, &slots, &mut pairs, &state.opinions);
+        }
+        let (v, w) = pairs[i & MASK];
+        on_step(v, state.apply(v, w));
     }
 }
 
@@ -823,12 +902,10 @@ impl<'g> FastProcess<'g> {
             while done < b {
                 let to_boundary = stride - (self.steps + done) % stride;
                 let sub = to_boundary.min(b - done);
-                for _ in 0..sub {
-                    let (v, w) = self.sampler.pick(self.graph, rng);
-                    let before = self.state.sum_off;
-                    self.state.apply(v, w);
-                    dw_off += (self.state.sum_off - before) * self.graph.degree(v) as i64;
-                }
+                let g = self.graph;
+                self.step_block(rng, sub, |v, delta| {
+                    dw_off += delta * g.degree(v) as i64;
+                });
                 done += sub;
                 let width = self.state.width();
                 let phase_hit = next_phase < PHASES.len() && width <= PHASES[next_phase].0;
@@ -842,9 +919,7 @@ impl<'g> FastProcess<'g> {
                     let base_steps = self.steps;
                     for i in 1..=done {
                         let (v, w) = self.sampler.pick(self.graph, rng);
-                        let before = self.state.sum_off;
-                        self.state.apply(v, w);
-                        dw_off += (self.state.sum_off - before) * self.graph.degree(v) as i64;
+                        dw_off += self.state.apply(v, w) * self.graph.degree(v) as i64;
                         let step_no = base_steps + i;
                         let w_now = self.state.width();
                         while next_phase < PHASES.len() && w_now <= PHASES[next_phase].0 {
@@ -939,6 +1014,33 @@ impl<'g> FastProcess<'g> {
             .sum()
     }
 
+    /// Steps `b` fault-free steps with no stop check — the one stepping
+    /// path of both block engines.  `on_step(v, delta)` sees every
+    /// updater and its opinion change, in step order.  The edge sampler
+    /// runs pipelined ([`step_lookahead`]); the others run the plain
+    /// loop (DESIGN §3.3 says why); RNG and state end as the plain loop
+    /// leaves them either way.
+    #[inline(always)]
+    fn step_block<R: RngCore, F: FnMut(usize, i64)>(
+        &mut self,
+        rng: &mut R,
+        b: u64,
+        mut on_step: F,
+    ) {
+        match self.sampler {
+            CompiledSampler::Edge {
+                ref endpoints,
+                two_m,
+            } => step_lookahead(endpoints, two_m, &mut self.state, rng, b, on_step),
+            _ => {
+                for _ in 0..b {
+                    let (v, w) = self.sampler.pick(self.graph, rng);
+                    on_step(v, self.state.apply(v, w));
+                }
+            }
+        }
+    }
+
     /// The block engine.  `stop_width` is 0 (consensus) or 1 (two
     /// adjacent); both predicates are monotone along DIV trajectories, so
     /// checking only at block boundaries and replaying the hitting block
@@ -960,13 +1062,13 @@ impl<'g> FastProcess<'g> {
             let b = block.min(remaining);
             let snap_state = self.state.clone();
             let snap_rng = rng.clone();
-            for _ in 0..b {
-                let (v, w) = self.sampler.pick(self.graph, rng);
-                self.state.apply(v, w);
-            }
+            self.step_block(rng, b, |_, _| {});
             if self.state.width() <= stop_width {
                 // The first hit is inside this block: rewind and replay
-                // the identical RNG stream with per-step checks.
+                // the identical RNG stream with per-step checks.  The
+                // replay stays on the plain loop so that it can stop
+                // right after the hitting step, leaving the RNG where
+                // `FinishPolicy::AnalyticTwoAdjacent` draws from next.
                 self.state = snap_state;
                 *rng = snap_rng;
                 for _ in 0..b {
@@ -1403,30 +1505,70 @@ mod tests {
         assert_eq!(status.consensus_opinion(), Some(9));
     }
 
-    #[test]
-    fn observed_run_matches_plain_run_exactly() {
+    /// `regular:60000:8`: an edge-sampler graph whose stepping working
+    /// set (`4n + 8m` ≈ 2.1 MB) outgrows L2, so its pipelined blocks
+    /// really overlap cache misses.
+    fn large_edge_graph() -> Graph {
+        let mut grng = FastRng::seed_from_u64(60_000);
+        let g = generators::random_regular(60_000, 8, &mut grng).unwrap();
+        let p = FastProcess::new(&g, vec![0; 60_000], FastScheduler::Edge).unwrap();
+        assert!(matches!(p.sampler, CompiledSampler::Edge { .. }));
+        g
+    }
+
+    /// All vertices at 1 but one at 0 and one at 2: two critical
+    /// branching extremes, so `τ` (one extreme dies out) and consensus
+    /// (both do) fall well inside a million steps.
+    fn lone_extremes(n: usize) -> Vec<i64> {
+        let mut opinions = vec![1; n];
+        opinions[0] = 0;
+        opinions[n / 2] = 2;
+        opinions
+    }
+
+    /// An observed run (blocks cut at `stride`) ends exactly where the
+    /// plain block engine does, and its `τ` / consensus events sit on
+    /// the first-hit steps of twin runs stopped there.  The plain run
+    /// must reach consensus within `budget`.
+    fn assert_observed_matches_plain(
+        g: &Graph,
+        opinions: Vec<i64>,
+        budget: u64,
+        stride: u64,
+        seed: u64,
+    ) {
         use crate::RingRecorder;
-        let g = generators::complete(40).unwrap();
-        let opinions = init::spread(40, 8).unwrap();
+        let mut plain = FastProcess::new(g, opinions.clone(), FastScheduler::Edge).unwrap();
+        let mut rng = FastRng::seed_from_u64(seed);
+        let plain_status = plain.run_to_consensus(budget, &mut rng);
 
-        let mut plain = FastProcess::new(&g, opinions.clone(), FastScheduler::Edge).unwrap();
-        let mut rng = FastRng::seed_from_u64(40);
-        let plain_status = plain.run_to_consensus(10_000_000, &mut rng);
-
-        let mut observed = FastProcess::new(&g, opinions.clone(), FastScheduler::Edge).unwrap();
-        let mut rng = FastRng::seed_from_u64(40);
+        let mut observed = FastProcess::new(g, opinions.clone(), FastScheduler::Edge).unwrap();
+        let mut rng = FastRng::seed_from_u64(seed);
         let mut rec = RingRecorder::new(1 << 20);
-        let observed_status = observed.run_observed(10_000_000, &mut rng, 64, &mut rec);
+        let observed_status = observed.run_observed(budget, &mut rng, stride, &mut rec);
 
         assert_eq!(plain_status, observed_status);
         assert_eq!(plain.opinions(), observed.opinions());
         assert_eq!(rec.consensus_step(), Some(plain_status.steps()));
 
         // The τ event matches a third twin run stopped at τ.
-        let mut tau = FastProcess::new(&g, opinions, FastScheduler::Edge).unwrap();
-        let mut rng = FastRng::seed_from_u64(40);
-        let tau_status = tau.run_to_two_adjacent(10_000_000, &mut rng);
+        let mut tau = FastProcess::new(g, opinions, FastScheduler::Edge).unwrap();
+        let mut rng = FastRng::seed_from_u64(seed);
+        let tau_status = tau.run_to_two_adjacent(budget, &mut rng);
+        assert!(tau.is_two_adjacent(), "the test run must reach τ");
         assert_eq!(rec.two_adjacent_step(), Some(tau_status.steps()));
+    }
+
+    #[test]
+    fn observed_run_matches_plain_run_exactly() {
+        let g = generators::complete(40).unwrap();
+        let opinions = init::spread(40, 8).unwrap();
+        assert_observed_matches_plain(&g, opinions, 10_000_000, 64, 40);
+
+        // On the edge sampler every sub-block runs pipelined and the τ
+        // and consensus replays each rewind one of them.
+        let g = large_edge_graph();
+        assert_observed_matches_plain(&g, lone_extremes(60_000), 1_000_000, 4_099, 40);
     }
 
     #[test]
@@ -1504,24 +1646,31 @@ mod tests {
         assert_eq!(last.distinct, state.distinct_count());
     }
 
-    #[test]
-    fn null_observer_is_bit_identical_to_plain_run() {
+    /// A disabled observer compiles to the plain block engine: same
+    /// status, same opinions, same downstream RNG stream.
+    fn assert_null_observer_matches_plain(g: &Graph, opinions: Vec<i64>, budget: u64, seed: u64) {
         use crate::NullObserver;
-        let g = generators::complete(40).unwrap();
-        let opinions = init::spread(40, 6).unwrap();
+        let mut plain = FastProcess::new(g, opinions.clone(), FastScheduler::Edge).unwrap();
+        let mut rng_a = FastRng::seed_from_u64(seed);
+        let sa = plain.run_to_consensus(budget, &mut rng_a);
 
-        let mut plain = FastProcess::new(&g, opinions.clone(), FastScheduler::Edge).unwrap();
-        let mut rng_a = FastRng::seed_from_u64(43);
-        let sa = plain.run_to_consensus(10_000_000, &mut rng_a);
-
-        let mut nulled = FastProcess::new(&g, opinions, FastScheduler::Edge).unwrap();
-        let mut rng_b = FastRng::seed_from_u64(43);
-        let sb = nulled.run_observed(10_000_000, &mut rng_b, 64, &mut NullObserver);
+        let mut nulled = FastProcess::new(g, opinions, FastScheduler::Edge).unwrap();
+        let mut rng_b = FastRng::seed_from_u64(seed);
+        let sb = nulled.run_observed(budget, &mut rng_b, 64, &mut NullObserver);
 
         assert_eq!(sa, sb);
         assert_eq!(plain.opinions(), nulled.opinions());
         // Identical downstream RNG stream: no draw was added or lost.
         assert_eq!(rng_a.next_u64(), rng_b.next_u64());
+    }
+
+    #[test]
+    fn null_observer_is_bit_identical_to_plain_run() {
+        let g = generators::complete(40).unwrap();
+        assert_null_observer_matches_plain(&g, init::spread(40, 6).unwrap(), 10_000_000, 43);
+
+        let g = large_edge_graph();
+        assert_null_observer_matches_plain(&g, init::spread(60_000, 6).unwrap(), 250_007, 43);
     }
 
     #[test]
@@ -1584,6 +1733,66 @@ mod tests {
         assert_eq!(clean_status, faulty_status);
         assert_eq!(clean_rec.samples(), faulty_rec.samples());
         assert_eq!(clean_rec.phases(), faulty_rec.phases());
+    }
+
+    /// Every budget edge of the lookahead ring: empty, shorter than the
+    /// resolve lag, exactly the lag, one short of / exactly / one past
+    /// the ring, and several ring turns with a ragged tail.
+    const RING_BUDGETS: [u64; 8] = {
+        let d = LOOKAHEAD as u64;
+        [0, 1, d / 2 - 1, d / 2, d - 1, d, d + 1, 3 * d + 5]
+    };
+
+    /// Runs the pipelined stepper directly against a plain `pick` +
+    /// `apply` loop on twin edge-sampler processes, block after block
+    /// from the same seed, asserting identical state, identical
+    /// `(updater, delta)` reports and the same next RNG word after every
+    /// block.
+    fn assert_lookahead_matches_plain(g: &Graph, seed: u64) {
+        let opinions = init::spread(g.num_vertices(), 7).unwrap();
+        let mut piped = FastProcess::new(g, opinions.clone(), FastScheduler::Edge).unwrap();
+        let mut plain = FastProcess::new(g, opinions, FastScheduler::Edge).unwrap();
+        let CompiledSampler::Edge { endpoints, two_m } = piped.sampler.clone() else {
+            panic!("the test graph must compile to the edge sampler");
+        };
+        let mut rp = FastRng::seed_from_u64(seed);
+        let mut rq = FastRng::seed_from_u64(seed);
+        for b in RING_BUDGETS {
+            let mut seen_piped = Vec::new();
+            step_lookahead(&endpoints, two_m, &mut piped.state, &mut rp, b, |v, d| {
+                seen_piped.push((v, d))
+            });
+            let mut seen_plain = Vec::new();
+            for _ in 0..b {
+                let (v, w) = plain.sampler.pick(plain.graph, &mut rq);
+                seen_plain.push((v, plain.state.apply(v, w)));
+            }
+            assert_eq!(seen_piped, seen_plain, "budget {b}: step reports");
+            let (a, z) = (&piped.state, &plain.state);
+            assert_eq!(a.opinions, z.opinions, "budget {b}: opinions");
+            assert_eq!(a.counts, z.counts, "budget {b}: counts");
+            assert_eq!((a.lo, a.hi), (z.lo, z.hi), "budget {b}: range");
+            assert_eq!(a.sum_off, z.sum_off, "budget {b}: sum");
+            assert_eq!(
+                rp.clone().next_u64(),
+                rq.clone().next_u64(),
+                "budget {b}: next RNG word"
+            );
+        }
+    }
+
+    #[test]
+    fn lookahead_stepper_matches_plain_loop_on_regular_graph() {
+        let mut grng = FastRng::seed_from_u64(50);
+        let g = generators::random_regular(64, 4, &mut grng).unwrap();
+        assert_lookahead_matches_plain(&g, 51);
+    }
+
+    #[test]
+    fn lookahead_stepper_matches_plain_loop_on_irregular_graph() {
+        // Degrees 1, 2, 11 and 12: the clique dominates the edge slots.
+        let g = generators::lollipop(12, 9).unwrap();
+        assert_lookahead_matches_plain(&g, 52);
     }
 
     #[test]

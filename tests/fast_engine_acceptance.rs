@@ -5,11 +5,18 @@
 //! `tests/final_stage.rs`): the Theorem 2 winner distribution and the
 //! Lemma 5 two-opinion absorption law — and the analytic finish policy
 //! must agree with full simulation.  All tests use fixed master seeds.
+//!
+//! The last group pins lookahead (pipelined) edge-sampler block stepping
+//! on a graph larger than L2 to the plain per-step engine, bit for bit,
+//! however the budget is chunked.
 
-use div_core::{init, theory, FastProcess, FastRng, FastScheduler, FinishPolicy};
+use div_core::{
+    init, theory, FastProcess, FastRng, FastScheduler, FaultPlan, FaultSession, FinishPolicy,
+    RunStatus,
+};
 use div_graph::{algo, generators, Graph};
 use div_sim::stats::{wilson_interval, Z95, Z99};
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 #[test]
 fn fast_winner_is_floor_or_ceil_on_complete_graph() {
@@ -218,4 +225,129 @@ fn analytic_finish_matches_full_simulation_vertex_irregular() {
         slo <= ahi && alo <= shi,
         "Wilson 95% CIs disjoint: simulate [{slo:.3}, {shi:.3}] vs analytic [{alo:.3}, {ahi:.3}]"
     );
+}
+
+/// `regular:60000:8`: its stepping working set (`4n + 8m` ≈ 2.1 MB)
+/// outgrows L2, so its pipelined edge-sampler blocks really overlap
+/// cache misses.
+fn large_graph() -> Graph {
+    let mut grng = FastRng::seed_from_u64(0xFA_10);
+    generators::random_regular(60_000, 8, &mut grng).unwrap()
+}
+
+/// Uneven budget chunks, each at least the lookahead depth (16 steps)
+/// and none a multiple of the 60 000-step block.
+const CHUNKS: [u64; 5] = [16, 1_001, 65_537, 17, 40_000];
+
+/// Calls `run` on consecutive chunks (cycling through [`CHUNKS`]) until
+/// it reports anything but a step limit or `budget` steps are spent;
+/// returns the last status.
+fn run_chunked(budget: u64, mut run: impl FnMut(u64) -> RunStatus) -> RunStatus {
+    let mut left = budget;
+    for &chunk in CHUNKS.iter().cycle() {
+        let chunk = chunk.min(left);
+        let status = run(chunk);
+        left -= chunk;
+        if left == 0 || !matches!(status, RunStatus::StepLimit { .. }) {
+            return status;
+        }
+    }
+    unreachable!("CHUNKS cycles forever")
+}
+
+/// The plain per-step oracle: a trivial fault plan steps one pick at a
+/// time through the same sampler and RNG stream as fault-free stepping.
+fn plain_twin<'g>(g: &'g Graph, opinions: &[i64]) -> (FastProcess<'g>, FaultSession) {
+    let session = FaultPlan::none().session(opinions).unwrap();
+    let p = FastProcess::new(g, opinions.to_vec(), FastScheduler::Edge).unwrap();
+    (p, session)
+}
+
+#[test]
+fn chunked_pipelined_budget_matches_one_run_and_plain_stepping() {
+    let g = large_graph();
+    let opinions = init::spread(g.num_vertices(), 6).unwrap();
+    let budget = 3 * CHUNKS.iter().sum::<u64>();
+
+    let mut whole = FastProcess::new(&g, opinions.clone(), FastScheduler::Edge).unwrap();
+    let mut rw = FastRng::seed_from_u64(0xFA_11);
+    assert_eq!(
+        whole.run_to_consensus(budget, &mut rw),
+        RunStatus::StepLimit { steps: budget }
+    );
+
+    let mut chunked = FastProcess::new(&g, opinions.clone(), FastScheduler::Edge).unwrap();
+    let mut rc = FastRng::seed_from_u64(0xFA_11);
+    let status = run_chunked(budget, |c| chunked.run_to_consensus(c, &mut rc));
+    assert_eq!(status, RunStatus::StepLimit { steps: budget });
+
+    let (mut plain, mut session) = plain_twin(&g, &opinions);
+    let mut rp = FastRng::seed_from_u64(0xFA_11);
+    plain.run_faulty_to_consensus(budget, &mut session, &mut rp);
+    assert_eq!(plain.steps(), budget);
+
+    for (name, p) in [("chunked", &chunked), ("plain", &plain)] {
+        assert_eq!(p.opinions(), whole.opinions(), "{name}: opinions");
+        assert_eq!(p.sum(), whole.sum(), "{name}: sum");
+        assert_eq!(
+            (p.min_opinion(), p.max_opinion()),
+            (whole.min_opinion(), whole.max_opinion()),
+            "{name}: range"
+        );
+    }
+    let next = rw.next_u64();
+    assert_eq!(rc.next_u64(), next, "chunked: next RNG word");
+    assert_eq!(rp.next_u64(), next, "plain: next RNG word");
+}
+
+#[test]
+fn first_hit_inside_pipelined_block_is_chunking_invariant() {
+    // Half the vertices at 1, half at 2, one at 0: τ is the extinction of
+    // the lone 0 (a subcritical branching process), so it falls within a
+    // few blocks, and the Lemma 5 draw at τ is close to a fair coin — a
+    // mis-positioned RNG would flip it about half the time.
+    let g = large_graph();
+    let n = g.num_vertices();
+    let mut opinions: Vec<i64> = (0..n).map(|v| 1 + (v % 2) as i64).collect();
+    opinions[0] = 0;
+    let budget = 50 * n as u64;
+    for seed in 0xFA_20..0xFA_24u64 {
+        let (mut plain, mut session) = plain_twin(&g, &opinions);
+        let mut rp = FastRng::seed_from_u64(seed);
+        let tau = plain.run_faulty_to_two_adjacent(budget, &mut session, &mut rp);
+        assert!(plain.is_two_adjacent(), "seed {seed:#x}: τ not reached");
+        let tau = tau.steps();
+        assert!(
+            tau > 16 && tau % n as u64 != 0,
+            "seed {seed:#x}: τ = {tau} must fall inside a block"
+        );
+
+        // Stop at τ, whole and chunked: same step, same next RNG word
+        // as the plain per-step oracle.
+        let mut whole = FastProcess::new(&g, opinions.clone(), FastScheduler::Edge).unwrap();
+        let mut rw = FastRng::seed_from_u64(seed);
+        assert_eq!(whole.run_to_two_adjacent(budget, &mut rw).steps(), tau);
+        let mut chunked = FastProcess::new(&g, opinions.clone(), FastScheduler::Edge).unwrap();
+        let mut rc = FastRng::seed_from_u64(seed);
+        let status = run_chunked(budget, |c| chunked.run_to_two_adjacent(c, &mut rc));
+        assert_eq!(status.steps(), tau, "seed {seed:#x}: chunked τ");
+        assert_eq!(chunked.opinions(), plain.opinions());
+        let next = rp.next_u64();
+        assert_eq!(rw.next_u64(), next, "seed {seed:#x}: whole next RNG word");
+        assert_eq!(rc.next_u64(), next, "seed {seed:#x}: chunked next RNG word");
+
+        // The analytic winner is drawn right after τ, so it is the same
+        // however the budget is chunked.
+        let mut whole = FastProcess::new(&g, opinions.clone(), FastScheduler::Edge).unwrap();
+        let mut rw = FastRng::seed_from_u64(seed);
+        let one = whole.run_with_policy(budget, &mut rw, FinishPolicy::AnalyticTwoAdjacent);
+        let mut chunked = FastProcess::new(&g, opinions.clone(), FastScheduler::Edge).unwrap();
+        let mut rc = FastRng::seed_from_u64(seed);
+        let split = run_chunked(budget, |c| {
+            chunked.run_with_policy(c, &mut rc, FinishPolicy::AnalyticTwoAdjacent)
+        });
+        assert_eq!(one.steps(), tau);
+        assert!(one.consensus_opinion().is_some(), "analytic finish decides");
+        assert_eq!(split, one, "seed {seed:#x}: analytic winner");
+    }
 }
