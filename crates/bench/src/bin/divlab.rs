@@ -1417,7 +1417,7 @@ fn observed_trial<O: Observer>(
 ///
 /// The batch and sharded engines run **natively**: a one-lane
 /// [`BatchProcess`] sampled on its block lattice, or a
-/// [`ShardedProcess`] sampled at round boundaries (callers demote
+/// [`div_core::ShardedProcess`] sampled at round boundaries (callers demote
 /// fault-injected plans to `fast` first).  Both consume exactly the seed
 /// the unobserved single run would draw, so observation never changes
 /// the verdict.

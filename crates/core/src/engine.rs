@@ -47,7 +47,6 @@ use std::time::Instant;
 use div_graph::Graph;
 use rand::{Rng, RngCore};
 
-use crate::kernels;
 use crate::telemetry::{Observer, Phase, PhaseEvent, TelemetrySample};
 use crate::{DivError, FaultSession, OpinionState, RunStatus, SelectionBias};
 
@@ -434,14 +433,14 @@ fn step_lookahead<R: RngCore + ?Sized, F: FnMut(usize, i64)>(
     type Pairs = [(usize, usize); LOOKAHEAD];
     let draw = |rng: &mut R| {
         let j = bounded_u64(rng, two_m) as usize;
-        kernels::prefetch(endpoints, j);
+        div_graph::prefetch(endpoints, j);
         j
     };
     let stage = |k: usize, slots: &[usize; LOOKAHEAD], pairs: &mut Pairs, opinions: &[u32]| {
         let j = slots[k & MASK];
         let (v, w) = (endpoints[j] as usize, endpoints[j ^ 1] as usize);
-        kernels::prefetch(opinions, v);
-        kernels::prefetch(opinions, w);
+        div_graph::prefetch(opinions, v);
+        div_graph::prefetch(opinions, w);
         pairs[k & MASK] = (v, w);
     };
     let b = b as usize;

@@ -66,8 +66,9 @@
 //! `unsafe {}` block is a pointer-free `transmute` between vector and
 //! plain-integer arrays (same size, no padding, any bit pattern valid)
 //! or an in-bounds vector load.  In this file only the dispatch
-//! functions (calls into those contracts) and `prefetch` (a cache
-//! hint, which never faults and has no memory effect) allow it.
+//! functions (calls into those contracts) allow it.  The fast engine's
+//! lookahead stepper prefetches through `div_graph::prefetch`, the
+//! workspace's one prefetch helper, whose unsafety stays in `div-graph`.
 
 use div_graph::Graph;
 
@@ -319,25 +320,6 @@ pub(crate) fn drive_group(
         CompiledSampler::Vertex { n } => swar::drive_vertex(cols, rngs, graph, *n, steps),
         CompiledSampler::Alias { .. } => unreachable!("alias family is never accelerated"),
     }
-}
-
-/// Hints the CPU to pull the cache line holding `slice[i]` into L1 — the
-/// one memory-level-parallelism primitive of the scalar engine's
-/// lookahead stepper (`crate::engine`).  A no-op off x86-64.
-#[inline(always)]
-#[allow(unsafe_code)] // a prefetch hint (see SAFETY note)
-pub(crate) fn prefetch<T>(slice: &[T], i: usize) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        let p = slice.as_ptr().wrapping_add(i);
-        // SAFETY: SSE is baseline on x86-64, and a prefetch is only a
-        // hint: it never faults (not even on an invalid address) and has
-        // no architecturally visible memory effect.
-        unsafe { _mm_prefetch::<_MM_HINT_T0>(p.cast::<i8>()) }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = (slice, i);
 }
 
 /// Min and max of `xs` under `tier`, with the scalar fold's conventions

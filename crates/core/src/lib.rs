@@ -85,10 +85,10 @@
 // `kernels::avx512` — whose entry points carry documented
 // CPU-feature-availability contracts and whose interior unsafety is
 // limited to in-bounds vector loads and size-equal transmutes; in the
-// feature-guarded dispatch functions of `kernels/mod.rs`; and in
-// `kernels::prefetch`, the cache hint behind the fast engine's lookahead
-// stepper (a prefetch never faults and has no memory effect).  Unsafe
-// operations inside `unsafe fn` bodies still require explicit blocks.
+// feature-guarded dispatch functions of `kernels/mod.rs`.  The cache
+// hint behind the fast engine's lookahead stepper is `div_graph::prefetch`,
+// so its unsafety lives in `div-graph`.  Unsafe operations inside
+// `unsafe fn` bodies still require explicit blocks.
 #![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]

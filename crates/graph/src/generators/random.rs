@@ -6,13 +6,21 @@
 //! w.h.p.), plus two structured random families (Watts–Strogatz,
 //! Barabási–Albert) used as additional workloads.
 
-use rand::Rng;
+use rand::{Rng, RngCore};
 
-use crate::{Graph, GraphBuilder, GraphError};
+use crate::{prefetch, Graph, GraphBuilder, GraphError};
 
 /// Maximum number of full restarts before
 /// [`random_regular`] reports [`GraphError::GenerationFailed`].
 const REGULAR_MAX_ATTEMPTS: usize = 1_000;
+/// Consecutive rejected stub pairs after which [`random_regular`] checks
+/// exhaustively whether any valid pair remains.
+const PAIR_TRIES: usize = 64;
+/// Capacity of [`random_regular`]'s lookahead ring of raw RNG words.
+const RING: usize = 64;
+/// How many stub pairs ahead [`random_regular`] prefetches the stub
+/// slots; the two vertices' adjacency rows follow `D / 2` pairs ahead.
+const D: usize = 16;
 
 /// A random simple `d`-regular graph on `n` vertices, via the
 /// Steger–Wormald pairing algorithm.
@@ -80,71 +88,214 @@ pub fn random_regular<R: Rng + ?Sized>(
         )));
     }
 
-    'attempt: for _ in 0..REGULAR_MAX_ATTEMPTS {
+    let mut table = Adjacency {
+        d,
+        adj: vec![0; num_stubs],
+        fill: vec![0; n],
+    };
+    let mut stubs: Vec<u32> = Vec::with_capacity(num_stubs);
+    let mut ring = WordRing {
+        words: [0; RING],
+        head: 0,
+        len: 0,
+    };
+    for _ in 0..REGULAR_MAX_ATTEMPTS {
         // Stub list: vertex v appears once per unit of residual degree.
-        let mut stubs: Vec<u32> = (0..num_stubs).map(|i| (i / d) as u32).collect();
-        let mut seen = std::collections::HashSet::with_capacity(num_stubs / 2);
-        let mut edges: Vec<(usize, usize)> = Vec::with_capacity(num_stubs / 2);
-        while !stubs.is_empty() {
-            // A uniform stub pair is valid unless it is a loop or repeats
-            // an edge. If the remaining stubs admit no valid pair at all,
-            // restart; detect that case after a bounded streak of
-            // rejections by an exhaustive check.
-            let mut placed = false;
-            for _ in 0..64 {
-                let i = rng.gen_range(0..stubs.len());
-                let mut j = rng.gen_range(0..stubs.len() - 1);
-                if j >= i {
-                    j += 1;
-                }
-                let (u, v) = (stubs[i] as usize, stubs[j] as usize);
-                if u == v {
-                    continue;
-                }
-                let key = if u < v { (u, v) } else { (v, u) };
-                if seen.contains(&key) {
-                    continue;
-                }
-                seen.insert(key);
-                edges.push(key);
-                // Remove both stubs (higher index first).
-                let (hi, lo) = if i > j { (i, j) } else { (j, i) };
-                stubs.swap_remove(hi);
-                stubs.swap_remove(lo);
-                placed = true;
-                break;
-            }
-            if !placed {
-                // Exhaustively verify whether any valid pair remains.
-                let mut any = false;
-                'scan: for a in 0..stubs.len() {
-                    for b in (a + 1)..stubs.len() {
-                        let (u, v) = (stubs[a] as usize, stubs[b] as usize);
-                        if u != v {
-                            let key = if u < v { (u, v) } else { (v, u) };
-                            if !seen.contains(&key) {
-                                any = true;
-                                break 'scan;
-                            }
-                        }
-                    }
-                }
-                if !any {
-                    continue 'attempt; // wedged; restart
-                }
-                // Valid pairs exist but we were unlucky; keep sampling.
-            }
+        stubs.clear();
+        stubs.extend((0..num_stubs).map(|i| (i / d) as u32));
+        table.fill.fill(0);
+        if pair_stubs(&mut stubs, &mut table, &mut ring, rng) {
+            debug_assert_eq!(ring.len, 0);
+            drop(stubs); // before the edge list is allocated: lower peak memory
+            return Ok(table.into_graph());
         }
-        let mut builder = GraphBuilder::with_capacity(n, edges.len())?;
-        for (u, v) in edges {
-            builder.add_edge(u, v)?;
-        }
-        return builder.build();
     }
+    debug_assert_eq!(ring.len, 0);
     Err(GraphError::GenerationFailed {
         generator: "random_regular",
         attempts: REGULAR_MAX_ATTEMPTS,
     })
+}
+
+/// One attempt of [`random_regular`]'s pairing loop: pairs up `stubs`
+/// into `table`, returning `false` if the attempt wedges.
+///
+/// Each trial draws `i = gen_range(0..L)` and `j = gen_range(0..L − 1)`
+/// (shifted past `i`) over the `L` remaining stubs and keeps the pair
+/// unless it is a loop or repeats an edge; after [`PAIR_TRIES`] rejections
+/// in a row an exhaustive scan decides between "unlucky, keep sampling"
+/// and "wedged".
+///
+/// The draws go through `ring`, a lookahead buffer of raw RNG words,
+/// so the stub slots and adjacency rows a coming pair will touch can be
+/// prefetched while earlier pairs are placed.  The ring is exact: before
+/// each trial it is topped up to at most `min(RING, L − 1, PAIR_TRIES −
+/// rejections)` words, and the loop always draws at least that many more
+/// — a completed attempt at least `L − 1` (two words a pair, one for the
+/// last pair, whose `gen_range(0..1)` draws none) and a wedge at least one
+/// word per trial left in the rejection streak.  So the ring never runs
+/// ahead of the stream and is empty whenever the loop returns, leaving the
+/// generator exactly where drawing each word on demand would have.
+fn pair_stubs<R: RngCore + ?Sized>(
+    stubs: &mut Vec<u32>,
+    table: &mut Adjacency,
+    ring: &mut WordRing,
+    rng: &mut R,
+) -> bool {
+    let mut rejections = 0;
+    while !stubs.is_empty() {
+        let len = stubs.len();
+        ring.fill(rng, RING.min(len - 1).min(PAIR_TRIES - rejections));
+        prefetch_ahead(ring, stubs, table);
+        let i = ring.gen_index(rng, len);
+        let mut j = ring.gen_index(rng, len - 1);
+        if j >= i {
+            j += 1;
+        }
+        let (u, v) = (stubs[i], stubs[j]);
+        if u != v && !table.adjacent(u, v) {
+            table.link(u, v);
+            // Remove both stubs (higher index first).
+            let (hi, lo) = if i > j { (i, j) } else { (j, i) };
+            stubs.swap_remove(hi);
+            stubs.swap_remove(lo);
+            rejections = 0;
+            continue;
+        }
+        rejections += 1;
+        if rejections == PAIR_TRIES {
+            // Exhaustively verify whether any valid pair remains.
+            let any = (0..len).any(|a| {
+                (a + 1..len).any(|b| stubs[a] != stubs[b] && !table.adjacent(stubs[a], stubs[b]))
+            });
+            if !any {
+                return false; // wedged; restart
+            }
+            // Valid pairs exist but we were unlucky; keep sampling.
+            rejections = 0;
+        }
+    }
+    true
+}
+
+/// Prefetches for the pairs `D` and `D / 2` trials ahead, assuming every
+/// pair until then is accepted (two words a pair, the stub count falling
+/// by two each time): `D` pairs ahead the two stub slots, `D / 2` pairs
+/// ahead the two vertices' adjacency rows and fill counts.  A rejection
+/// or a Lemire redraw in between only mis-aims a prefetch.
+#[inline(always)]
+fn prefetch_ahead(ring: &WordRing, stubs: &[u32], table: &Adjacency) {
+    // The slots pair `k` ahead would draw, if its words are buffered.
+    let slots = |k: usize| {
+        let len = stubs.len().checked_sub(2 * k).filter(|&len| len >= 3)?;
+        let i = rand::bounded_accept(ring.peek(2 * k)?, len as u64)? as usize;
+        let j = rand::bounded_accept(ring.peek(2 * k + 1)?, len as u64 - 1)? as usize;
+        Some((i, j + usize::from(j >= i)))
+    };
+    if let Some((i, j)) = slots(D) {
+        prefetch(stubs, i);
+        prefetch(stubs, j);
+    }
+    if let Some((i, j)) = slots(D / 2) {
+        for w in [stubs[i], stubs[j]] {
+            prefetch(&table.adj, w as usize * table.d);
+            prefetch(&table.fill, w as usize);
+        }
+    }
+}
+
+/// The adjacency table of the graph under construction: `d` slots per
+/// vertex, the first `fill[v]` of row `v` holding its neighbours so far.
+struct Adjacency {
+    d: usize,
+    adj: Vec<u32>,
+    fill: Vec<u32>,
+}
+
+impl Adjacency {
+    /// Whether the edge `{u, v}` is already placed (a scan of `u`'s
+    /// filled slots).
+    #[inline(always)]
+    fn adjacent(&self, u: u32, v: u32) -> bool {
+        let row = u as usize * self.d;
+        self.adj[row..row + self.fill[u as usize] as usize].contains(&v)
+    }
+
+    /// Places the edge `{u, v}`.
+    #[inline(always)]
+    fn link(&mut self, u: u32, v: u32) {
+        for (a, b) in [(u, v), (v, u)] {
+            let fill = &mut self.fill[a as usize];
+            self.adj[a as usize * self.d + *fill as usize] = b;
+            *fill += 1;
+        }
+    }
+
+    /// The finished table as a [`Graph`]: every row is full, so sorting
+    /// each row in place yields the CSR neighbour array directly, with
+    /// `offsets[v] = v·d`.
+    fn into_graph(self) -> Graph {
+        let Adjacency { d, mut adj, .. } = self;
+        let n = adj.len() / d;
+        let mut edges = Vec::with_capacity(adj.len() / 2);
+        for (u, row) in adj.chunks_exact_mut(d).enumerate() {
+            row.sort_unstable();
+            let above = row.partition_point(|&v| v as usize <= u);
+            edges.extend(row[above..].iter().map(|&v| (u as u32, v)));
+        }
+        let offsets = (0..=n).map(|v| v * d).collect();
+        Graph::from_parts(offsets, adj, edges)
+    }
+}
+
+/// Raw RNG words drawn ahead of [`pair_stubs`]'s `gen_range` calls, in
+/// stream order.
+struct WordRing {
+    words: [u64; RING],
+    head: usize,
+    len: usize,
+}
+
+impl WordRing {
+    /// Draws words until `target` are buffered.
+    #[inline(always)]
+    fn fill<R: RngCore + ?Sized>(&mut self, rng: &mut R, target: usize) {
+        while self.len < target {
+            self.words[(self.head + self.len) % RING] = rng.next_u64();
+            self.len += 1;
+        }
+    }
+
+    /// The `k`-th buffered word (0 is the next), if buffered.
+    #[inline(always)]
+    fn peek(&self, k: usize) -> Option<u64> {
+        (k < self.len).then(|| self.words[(self.head + k) % RING])
+    }
+
+    /// The next word of the stream: the oldest buffered one, else fresh.
+    #[inline(always)]
+    fn next<R: RngCore + ?Sized>(&mut self, rng: &mut R) -> u64 {
+        if self.len == 0 {
+            return rng.next_u64();
+        }
+        let word = self.words[self.head];
+        self.head = (self.head + 1) % RING;
+        self.len -= 1;
+        word
+    }
+
+    /// Exactly `rng.gen_range(0..span)`, drawn through the ring.
+    #[inline(always)]
+    fn gen_index<R: RngCore + ?Sized>(&mut self, rng: &mut R, span: usize) -> usize {
+        if span == 1 {
+            return 0; // `gen_range` draws no word for a single value
+        }
+        loop {
+            if let Some(x) = rand::bounded_accept(self.next(rng), span as u64) {
+                return x as usize;
+            }
+        }
+    }
 }
 
 /// The Erdős–Rényi random graph `G(n, p)`: each of the `C(n,2)` possible
@@ -363,8 +514,193 @@ pub fn barabasi_albert<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use crate::algo;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Test oracle: `random_regular` as it was before the adjacency table
+    /// and the lookahead ring, with its `HashSet` of placed edges, kept
+    /// verbatim so the rewrite can be diffed against it.
+    fn reference_random_regular<R: Rng + ?Sized>(
+        n: usize,
+        d: usize,
+        rng: &mut R,
+    ) -> Result<Graph, GraphError> {
+        if n == 0 {
+            return Err(GraphError::EmptyGraph);
+        }
+        if d == 0 {
+            return Err(GraphError::invalid("random_regular requires d >= 1"));
+        }
+        if d >= n {
+            return Err(GraphError::invalid(format!(
+                "random_regular requires d < n (got d={d}, n={n})"
+            )));
+        }
+        // The stub list indexes vertices as u32 and holds n·d entries: both
+        // bounds are checked up front so million-vertex requests fail loudly
+        // on narrow targets instead of truncating through `as` casts.
+        if n > u32::MAX as usize {
+            return Err(GraphError::overflow(
+                "random_regular",
+                format!("vertex count {n} exceeds the u32 stub index"),
+            ));
+        }
+        let num_stubs = n.checked_mul(d).ok_or_else(|| {
+            GraphError::overflow("random_regular", format!("stub count {n} * {d}"))
+        })?;
+        if !num_stubs.is_multiple_of(2) {
+            return Err(GraphError::invalid(format!(
+                "random_regular requires n*d even (got n={n}, d={d})"
+            )));
+        }
+
+        'attempt: for _ in 0..REGULAR_MAX_ATTEMPTS {
+            // Stub list: vertex v appears once per unit of residual degree.
+            let mut stubs: Vec<u32> = (0..num_stubs).map(|i| (i / d) as u32).collect();
+            let mut seen = std::collections::HashSet::with_capacity(num_stubs / 2);
+            let mut edges: Vec<(usize, usize)> = Vec::with_capacity(num_stubs / 2);
+            while !stubs.is_empty() {
+                // A uniform stub pair is valid unless it is a loop or repeats
+                // an edge. If the remaining stubs admit no valid pair at all,
+                // restart; detect that case after a bounded streak of
+                // rejections by an exhaustive check.
+                let mut placed = false;
+                for _ in 0..64 {
+                    let i = rng.gen_range(0..stubs.len());
+                    let mut j = rng.gen_range(0..stubs.len() - 1);
+                    if j >= i {
+                        j += 1;
+                    }
+                    let (u, v) = (stubs[i] as usize, stubs[j] as usize);
+                    if u == v {
+                        continue;
+                    }
+                    let key = if u < v { (u, v) } else { (v, u) };
+                    if seen.contains(&key) {
+                        continue;
+                    }
+                    seen.insert(key);
+                    edges.push(key);
+                    // Remove both stubs (higher index first).
+                    let (hi, lo) = if i > j { (i, j) } else { (j, i) };
+                    stubs.swap_remove(hi);
+                    stubs.swap_remove(lo);
+                    placed = true;
+                    break;
+                }
+                if !placed {
+                    // Exhaustively verify whether any valid pair remains.
+                    let mut any = false;
+                    'scan: for a in 0..stubs.len() {
+                        for b in (a + 1)..stubs.len() {
+                            let (u, v) = (stubs[a] as usize, stubs[b] as usize);
+                            if u != v {
+                                let key = if u < v { (u, v) } else { (v, u) };
+                                if !seen.contains(&key) {
+                                    any = true;
+                                    break 'scan;
+                                }
+                            }
+                        }
+                    }
+                    if !any {
+                        continue 'attempt; // wedged; restart
+                    }
+                    // Valid pairs exist but we were unlucky; keep sampling.
+                }
+            }
+            let mut builder = GraphBuilder::with_capacity(n, edges.len())?;
+            for (u, v) in edges {
+                builder.add_edge(u, v)?;
+            }
+            return builder.build();
+        }
+        Err(GraphError::GenerationFailed {
+            generator: "random_regular",
+            attempts: REGULAR_MAX_ATTEMPTS,
+        })
+    }
+
+    /// FNV-1a over the edge list as little-endian `u32` pairs.
+    fn edge_hash(g: &Graph) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for (u, v) in g.edges() {
+            for b in [u as u32, v as u32].iter().flat_map(|x| x.to_le_bytes()) {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Asserts the edge hash of `random_regular(n, d)` from `seed` and the
+    /// generator word that follows it.
+    fn assert_pin(n: usize, d: usize, seed: u64, hash: u64, next: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let g = random_regular(n, d, &mut rng).unwrap();
+        assert_eq!(edge_hash(&g), hash, "edges of ({n}, {d}, {seed})");
+        assert_eq!(rng.next_u64(), next, "next word after ({n}, {d}, {seed})");
+    }
+
+    #[test]
+    fn random_regular_golden_pins() {
+        // (10, 7, 3) restarts five times and (12, 9, 5) once, so the
+        // restart path and the ring carried across it are pinned too.
+        assert_pin(10, 7, 3, 0x5d94_1660_f459_bcf4, 0xd8d1_890c_0a8c_2665);
+        assert_pin(12, 9, 5, 0x4f74_15c3_5956_37c5, 0x2bb8_155b_a77f_849d);
+        assert_pin(1000, 8, 7, 0xc2ab_3faf_8a00_c141, 0xbba9_bf63_cfca_208a);
+        assert_pin(100_000, 3, 11, 0xdec5_cfdb_e608_dc09, 0x04fc_e571_3008_22fc);
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "million-vertex build; run with --release")]
+    fn random_regular_golden_pin_n1m() {
+        // The trial-1m benchmark graph (`regular:1000000:8`, seed 601).
+        assert_pin(
+            1_000_000,
+            8,
+            601,
+            0x171e_83ae_4e2d_f2e1,
+            0x6fe2_b1db_8106_46f9,
+        );
+    }
+
+    #[test]
+    fn exhausted_restart_budget_matches_reference() {
+        // (36, 34, 1) wedges in all 1 000 attempts, so the ring's bound
+        // must hold up to the error return too: same error, same next
+        // generator word.
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut oracle_rng = rng.clone();
+        let err = random_regular(36, 34, &mut rng).unwrap_err();
+        assert_eq!(Err(err), reference_random_regular(36, 34, &mut oracle_rng));
+        assert_eq!(rng.next_u64(), oracle_rng.next_u64());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The adjacency-table, lookahead-ring pairing loop draws the same
+        /// words and makes the same decisions as the `HashSet` oracle:
+        /// same graph (or same error), same next generator word, and a
+        /// CSR identical to the builder's for the same edges.
+        #[test]
+        fn random_regular_matches_hash_set_reference(
+            (n, d, seed) in (4usize..60).prop_flat_map(|n| (Just(n), 1..n, any::<u64>()))
+        ) {
+            prop_assume!((n * d).is_multiple_of(2));
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut oracle_rng = rng.clone();
+            let got = random_regular(n, d, &mut rng);
+            let want = reference_random_regular(n, d, &mut oracle_rng);
+            prop_assert_eq!(&got, &want, "n={} d={} seed={}", n, d, seed);
+            prop_assert_eq!(rng.next_u64(), oracle_rng.next_u64());
+            if let Ok(g) = got {
+                prop_assert_eq!(Graph::from_edges(n, g.edges()).unwrap(), g);
+            }
+        }
+    }
 
     #[test]
     fn random_regular_is_regular_and_connected() {

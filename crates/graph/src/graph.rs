@@ -59,8 +59,9 @@ impl Graph {
         builder.build()
     }
 
-    /// Internal constructor used by [`GraphBuilder`]; inputs must already be
-    /// validated and canonicalised.
+    /// Internal constructor used by [`GraphBuilder`] and
+    /// `generators::random_regular`; inputs must already be validated and
+    /// canonicalised.
     pub(crate) fn from_parts(
         offsets: Vec<usize>,
         neighbors: Vec<u32>,

@@ -30,7 +30,11 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
+// Unsafe policy: `unsafe_code` is denied crate-wide and re-allowed only
+// in `prefetch`, a cache hint (it never faults and has no memory effect)
+// shared by `generators::random_regular`'s pairing loop and the fast
+// engine's lookahead stepper in `div-core`.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod algo;
@@ -48,3 +52,25 @@ pub use graph::{Edges, Graph, Neighbors};
 
 /// Crate-wide result alias.
 pub type Result<T, E = GraphError> = std::result::Result<T, E>;
+
+/// Hints the CPU to pull the cache line holding `slice[i]` into L1 — the
+/// one memory-level-parallelism primitive of the workspace's lookahead
+/// loops (`random_regular`'s pairing loop here and the fast engine's
+/// edge stepper in `div-core`).  A no-op off x86-64.  Not part of the
+/// graph API: public only so that both loops share this one copy.
+#[doc(hidden)]
+#[inline(always)]
+#[allow(unsafe_code)] // a prefetch hint (see SAFETY note)
+pub fn prefetch<T>(slice: &[T], i: usize) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let p = slice.as_ptr().wrapping_add(i);
+        // SAFETY: SSE is baseline on x86-64, and a prefetch is only a
+        // hint: it never faults (not even on an invalid address) and has
+        // no architecturally visible memory effect.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(p.cast::<i8>()) }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (slice, i);
+}

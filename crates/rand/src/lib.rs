@@ -15,6 +15,8 @@
 //!
 //! Bounded integer sampling uses Lemire's multiply-shift rejection method,
 //! which is exact (no modulo bias) and wastes no draws in the common case.
+//! Its per-word step is public as [`bounded_accept`], so a loop that
+//! buffers raw words ahead of its draws can replay `gen_range` exactly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -240,26 +242,50 @@ fn standard_f64<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
 
 /// Exact uniform draw from `[0, span)` (`span ≥ 1`) via Lemire's
 /// multiply-shift with rejection — no modulo bias, one multiplication in
-/// the common case.
+/// the common case.  A span of 1 draws no word at all.
 #[inline]
 fn bounded_u64<R: RngCore + ?Sized>(rng: &mut R, span: u64) -> u64 {
     debug_assert!(span >= 1);
     if span == 1 {
         return 0;
     }
-    let mut x = rng.next_u64();
-    let mut m = (x as u128) * (span as u128);
-    let mut lo = m as u64;
-    if lo < span {
-        // Rejection threshold: 2^64 mod span.
-        let t = span.wrapping_neg() % span;
-        while lo < t {
-            x = rng.next_u64();
-            m = (x as u128) * (span as u128);
-            lo = m as u64;
+    loop {
+        if let Some(x) = bounded_accept(rng.next_u64(), span) {
+            return x;
         }
     }
-    (m >> 64) as u64
+}
+
+/// One word of [`Rng::gen_range`]'s integer sampling: the uniform value
+/// in `[0, span)` that the raw output word `word` maps to under Lemire's
+/// multiply-shift, or `None` if `word` falls in the rejection zone and
+/// `gen_range` draws another word.
+///
+/// For `span ≥ 2`, `gen_range` over a span of `span` values draws words
+/// until this accepts one; for `span == 1` it draws no word.  Loops that
+/// buffer raw words ahead of their draws use it to map a buffered word to
+/// the value `gen_range` will return for it.
+///
+/// # Examples
+///
+/// ```
+/// use rand::{bounded_accept, Rng, RngCore, SeedableRng};
+/// let mut a = rand::rngs::StdRng::seed_from_u64(1);
+/// let mut b = a.clone();
+/// let x: u64 = a.gen_range(0..10);
+/// assert_eq!(bounded_accept(b.next_u64(), 10), Some(x));
+/// ```
+#[inline]
+pub fn bounded_accept(word: u64, span: u64) -> Option<u64> {
+    debug_assert!(span >= 1);
+    let m = (word as u128) * (span as u128);
+    let lo = m as u64;
+    // The rejection threshold `2⁶⁴ mod span` is below `span`, so the
+    // division is only paid on the rare `lo < span` branch.
+    if lo < span && lo < span.wrapping_neg() % span {
+        return None;
+    }
+    Some((m >> 64) as u64)
 }
 
 /// SplitMix64 — the seed expander (and the seeder of the workspace's fast
@@ -492,6 +518,37 @@ mod tests {
         for &c in &counts {
             let f = c as f64 / n as f64;
             assert!((f - 1.0 / 3.0).abs() < 0.005, "freq {f}");
+        }
+    }
+
+    #[test]
+    fn per_word_accept_loop_replays_gen_range() {
+        // Drawing words until `bounded_accept` takes one (no word for a
+        // span of 1) must return `gen_range`'s values and leave the
+        // generator at the same position.  Span 2⁶³ + 1 rejects about
+        // half its words, so the redraw path is exercised too.
+        for span in [1u64, 2, 3, (1 << 63) + 1, u64::MAX] {
+            let mut a = StdRng::seed_from_u64(span);
+            let mut b = a.clone();
+            let mut rejected = 0;
+            for _ in 0..2_000 {
+                let want: u64 = a.gen_range(0..span);
+                let got = if span == 1 {
+                    0
+                } else {
+                    loop {
+                        match bounded_accept(b.next_u64(), span) {
+                            Some(x) => break x,
+                            None => rejected += 1,
+                        }
+                    }
+                };
+                assert_eq!(got, want, "span {span}");
+            }
+            assert_eq!(a.next_u64(), b.next_u64(), "span {span}");
+            if span == (1 << 63) + 1 {
+                assert!(rejected > 500, "only {rejected} rejections");
+            }
         }
     }
 
