@@ -35,12 +35,13 @@
 //! together and column scans, snapshots and rewinds are straight-line
 //! `memcpy`/scan loops.  Cross-lane SIMD on the *opinion words* never
 //! aligns (each lane steps an independently drawn vertex), but the
-//! *draw* does: on the SWAR and AVX2 [`crate::kernels`] tiers the drive
-//! phase steps active lanes in lockstep groups of four, generating four
-//! xoshiro words and four masked Lemire draws per vector operation while
-//! the toward-stores stay per-lane — see [`crate::KernelTier`] for the
-//! dispatch ladder and the module docs of [`crate::kernels`] for why
-//! every tier is bit-exact.  The per-lane stat
+//! *draw* does: on the vector [`crate::kernels`] tiers the drive phase
+//! steps active lanes in lockstep groups of four (or eight), generating
+//! four xoshiro words and four masked Lemire draws per vector operation
+//! while the toward-stores stay per-lane — see [`crate::KernelTier`] for
+//! the dispatch ladder, and the module docs of [`crate::kernels`] for
+//! which tier drives which sampler family and why every tier is
+//! bit-exact.  The per-lane stat
 //! registers (`S(t)`, `Z(t)`, min/max, distinct, `N_i(t)`) are derived
 //! from the columns by contiguous scans when read; they never burden
 //! the hot loop.
@@ -107,7 +108,7 @@ use std::time::Instant;
 use div_graph::Graph;
 use rand::SeedableRng;
 
-use crate::engine::{bounded_u32_half, bounded_u64, CompiledSampler};
+use crate::engine::{bounded_u32_half, bounded_u64, two_range_draw, CompiledSampler};
 use crate::error::DivError;
 use crate::fault::{FaultPlan, FaultStats};
 use crate::kernels::{self, KernelTier};
@@ -409,11 +410,12 @@ impl<'g> BatchProcess<'g> {
     /// The hot loop: every lane above `stop_width` takes at most
     /// `max_steps` additional steps, in blocks of `B = max(n, 1024)`
     /// bare toward-steps per lane (see the module docs for the
-    /// block/scan/rewind scheme).  On the SWAR/AVX2 kernel tiers, active
-    /// lanes are driven in lockstep groups of eight or four through
-    /// [`kernels::drive_group`] (breaking the per-lane RNG dependency
-    /// chain); leftover lanes — and every lane on the scalar tier or for
-    /// an unaccelerated sampler family — take the lane-at-a-time path.
+    /// block/scan/rewind scheme).  Where [`kernels::group_width`] offers
+    /// a lockstep width for this tier and sampler, active lanes are
+    /// driven in groups of eight or four through [`kernels::drive_group`]
+    /// (breaking the per-lane RNG dependency chain); leftover lanes — and
+    /// every lane on the scalar tier or for a sampler family the tier
+    /// does not drive — take the lane-at-a-time path.
     /// Lanes never interact, so group order, per-lane order and
     /// round-lockstep order are all observationally identical.  The
     /// sampler variant of the scalar path is matched **once** out here so
@@ -453,8 +455,8 @@ impl<'g> BatchProcess<'g> {
                 } = self;
 
                 // Kernel-driven lockstep groups, widest first (8-lane
-                // AVX2 groups interleave two RNG register sets; 4-lane
-                // groups cover the remainder and the SWAR tier).
+                // AVX-512 groups; 4-lane groups cover the remainder and
+                // the other vector tiers).
                 macro_rules! drive_chunks {
                     ($w:literal) => {
                         while active.len() - grouped >= $w {
@@ -552,18 +554,20 @@ impl<'g> BatchProcess<'g> {
                             break (v, graph.neighbor(v as usize, slot as usize) as u32);
                         });
                     }
+                    CompiledSampler::Regular { n, d } => {
+                        let (n, d) = (*n, *d);
+                        let adjacency = graph.adjacency();
+                        drive!(|rng: &mut FastRng| {
+                            let (v, s) = two_range_draw(rng, n, d);
+                            (v, adjacency[v as usize * d as usize + s as usize])
+                        });
+                    }
                     CompiledSampler::CompletePair { n } => {
                         let n = *n;
-                        drive!(|rng: &mut FastRng| loop {
-                            let word = rng.next_word();
-                            let Some(v) = bounded_u32_half((word >> 32) as u32, n) else {
-                                continue;
-                            };
-                            let Some(w) = bounded_u32_half(word as u32, n - 1) else {
-                                continue;
-                            };
+                        drive!(|rng: &mut FastRng| {
+                            let (v, w) = two_range_draw(rng, n, n - 1);
                             // Skip over v: maps [0, n−1) onto [0, n) \ {v}.
-                            break (v, w + (w >= v) as u32);
+                            (v, w + (w >= v) as u32)
                         });
                     }
                     CompiledSampler::Edge { endpoints, two_m } => {
@@ -1024,19 +1028,32 @@ mod tests {
             .collect()
     }
 
+    /// Every lane equals its scalar replay, on every supported tier: on
+    /// `K_30` (complete-pair and edge samplers) and on a random 8-regular
+    /// graph, whose vertex process runs the regular sampler's lockstep
+    /// drive on the AVX2 tiers.  At n = 256 the lanes outlive several
+    /// 8 192-step blocks, so the lockstep drives' steps are kept (a lane
+    /// that finishes inside its first block is replayed on the scalar
+    /// pick from the block start).
     #[test]
     fn lanes_match_scalar_fast_engine() {
-        let g = generators::complete(30).unwrap();
-        let opinions = uniform(30, 7, 99);
-        for kind in [FastScheduler::Vertex, FastScheduler::Edge] {
-            let seeds = seeds(8, 0xBEEF);
-            let mut batch = BatchProcess::new(&g, opinions.clone(), kind, &seeds).unwrap();
-            let got = batch.run_to_consensus(1_000_000);
-            let want = scalar_statuses(&g, &opinions, kind, &seeds, 1_000_000);
-            for (l, (status, final_opinions, steps)) in want.into_iter().enumerate() {
-                assert_eq!(got[l], status, "lane {l} status ({kind:?})");
-                assert_eq!(batch.opinions_of(l), final_opinions, "lane {l} opinions");
-                assert_eq!(batch.steps(l), steps, "lane {l} steps");
+        for g in [generators::complete(30).unwrap(), regular(256, 8, 30)] {
+            let n = g.num_vertices();
+            let opinions = uniform(n, 7, 99);
+            for kind in [FastScheduler::Vertex, FastScheduler::Edge] {
+                let seeds = seeds(8, 0xBEEF);
+                let want = scalar_statuses(&g, &opinions, kind, &seeds, 1_000_000);
+                for tier in KernelTier::supported() {
+                    let mut batch = BatchProcess::new(&g, opinions.clone(), kind, &seeds).unwrap();
+                    batch.set_kernel_tier(tier);
+                    let got = batch.run_to_consensus(1_000_000);
+                    for (l, (status, final_opinions, steps)) in want.iter().enumerate() {
+                        let at = format!("lane {l}, n = {n}, {kind:?}, {tier:?}");
+                        assert_eq!(got[l], *status, "{at}: status");
+                        assert_eq!(batch.opinions_of(l), *final_opinions, "{at}: opinions");
+                        assert_eq!(batch.steps(l), *steps, "{at}: steps");
+                    }
+                }
             }
         }
     }

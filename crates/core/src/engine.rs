@@ -13,8 +13,18 @@
 //!   *directed* edges, folding the endpoint flip into the same draw; the
 //!   vertex process splits one 64-bit word into two 32-bit halves (vertex,
 //!   neighbour slot).
+//! * **A sampler per graph shape.**  On a complete graph both processes
+//!   draw a uniform ordered pair of distinct vertices with no table.  On
+//!   any other `d`-regular graph the vertex process compiles to
+//!   `Regular { n, d }`: the slot half is drawn over the constant `d` and
+//!   the neighbour is the single load `adjacency[v·d + s]`, with no
+//!   offset lookups.  That is the same draw the complete-pair sampler
+//!   makes (`two_range_draw`), and exactly the generic pick's on that
+//!   graph.  Irregular graphs keep the generic `Vertex` pick, which reads
+//!   `d(v)` from the CSR offsets.
 //! * **Lemire bounded sampling** (multiply-shift with exact rejection)
-//!   instead of the generic `gen_range` plumbing.
+//!   instead of the generic `gen_range` plumbing; the 64-bit draw loops
+//!   over `rand::bounded_accept`, the workspace's one copy of the step.
 //! * **[`FastRng`] (xoshiro256++)** instead of `StdRng` — a handful of ALU
 //!   ops per word instead of a ChaCha block.
 //! * **Block stepping**: the stop condition is hoisted out of the inner
@@ -111,19 +121,16 @@ pub enum FinishPolicy {
 }
 
 /// 64-bit Lemire bounded draw with exact rejection: uniform in `[0, range)`.
+/// One word per try through [`rand::bounded_accept`], the workspace's one
+/// copy of the per-word Lemire step.
 #[inline(always)]
 pub(crate) fn bounded_u64<R: RngCore + ?Sized>(rng: &mut R, range: u64) -> u64 {
     debug_assert!(range > 0);
-    let mut m = (rng.next_u64() as u128) * (range as u128);
-    if (m as u64) < range {
-        // Slow path (probability `range/2⁶⁴`): compute the exact rejection
-        // threshold and redraw below it.
-        let t = range.wrapping_neg() % range;
-        while (m as u64) < t {
-            m = (rng.next_u64() as u128) * (range as u128);
+    loop {
+        if let Some(x) = rand::bounded_accept(rng.next_u64(), range) {
+            return x;
         }
     }
-    (m >> 64) as u64
 }
 
 /// 32-bit Lemire step on a pre-drawn word half: `Some(value)` on accept.
@@ -142,13 +149,38 @@ pub(crate) fn bounded_u32_half(half: u32, range: u32) -> Option<u32> {
     Some((m >> 32) as u32)
 }
 
+/// The two-range draw the complete-pair and regular samplers share: one
+/// word, the high half over `n`, the low half over `r`, and a redraw of
+/// the whole word if either half rejects.  Returns the raw `(v, s)`.
+#[inline(always)]
+pub(crate) fn two_range_draw<R: RngCore + ?Sized>(rng: &mut R, n: u32, r: u32) -> (u32, u32) {
+    loop {
+        let word = rng.next_u64();
+        let Some(v) = bounded_u32_half((word >> 32) as u32, n) else {
+            continue;
+        };
+        let Some(s) = bounded_u32_half(word as u32, r) else {
+            continue;
+        };
+        return (v, s);
+    }
+}
+
 /// The precompiled interaction sampler.  Shared with the batch engine
 /// (`crate::batch`): the tables depend only on the graph and the
 /// scheduler, so one compilation serves every lane of a batch.
 #[derive(Debug, Clone)]
 pub(crate) enum CompiledSampler {
-    /// One word: high half picks the vertex, low half the neighbour slot.
+    /// One word: high half picks the vertex, low half the neighbour slot
+    /// (over `d(v)`, read from the CSR offsets).  The vertex process on
+    /// an irregular graph.
     Vertex { n: u32 },
+    /// The vertex process on a non-complete `d`-regular graph: one word,
+    /// high half picks `v` over `n`, low half the slot `s` over `d`, and
+    /// the neighbour is the single load `adjacency[v·d + s]` (on a
+    /// regular CSR graph `offsets[v] = v·d`).  Draws exactly what
+    /// `Vertex` draws on the same graph.
+    Regular { n: u32, d: u32 },
     /// Closed-form sampler for complete graphs: a uniform ordered pair of
     /// distinct vertices from one word, no tables.  `K_n` is regular, so
     /// the edge and vertex processes draw the *same* law and both compile
@@ -178,9 +210,13 @@ impl CompiledSampler {
             FastScheduler::Vertex | FastScheduler::Edge if complete => {
                 CompiledSampler::CompletePair { n: n as u32 }
             }
-            FastScheduler::Vertex => CompiledSampler::Vertex {
-                n: g.num_vertices() as u32,
+            // The O(n) regularity scan runs for the vertex process only.
+            // Both callers reject isolated vertices first, so d ≥ 1.
+            FastScheduler::Vertex if g.is_regular() => CompiledSampler::Regular {
+                n: n as u32,
+                d: g.degree(0) as u32,
             },
+            FastScheduler::Vertex => CompiledSampler::Vertex { n: n as u32 },
             FastScheduler::Edge => {
                 let m = g.num_edges();
                 let mut endpoints = Vec::with_capacity(2 * m);
@@ -217,18 +253,17 @@ impl CompiledSampler {
                 };
                 return (v, g.neighbor(v, slot as usize));
             },
-            CompiledSampler::CompletePair { n } => loop {
-                let word = rng.next_u64();
-                let Some(v) = bounded_u32_half((word >> 32) as u32, n) else {
-                    continue;
-                };
-                let Some(w) = bounded_u32_half(word as u32, n - 1) else {
-                    continue;
-                };
+            CompiledSampler::Regular { n, d } => {
+                let (v, s) = two_range_draw(rng, n, d);
+                let w = g.adjacency()[v as usize * d as usize + s as usize];
+                (v as usize, w as usize)
+            }
+            CompiledSampler::CompletePair { n } => {
+                let (v, w) = two_range_draw(rng, n, n - 1);
                 // Skip over v: maps [0, n−1) onto [0, n) \ {v}.
                 let w = w + (w >= v) as u32;
-                return (v as usize, w as usize);
-            },
+                (v as usize, w as usize)
+            }
             CompiledSampler::Edge {
                 ref endpoints,
                 two_m,
@@ -1245,6 +1280,101 @@ mod tests {
                 0.0
             }
         });
+    }
+
+    fn compiled_vertex(g: &Graph) -> CompiledSampler {
+        CompiledSampler::compile(g, FastScheduler::Vertex)
+    }
+
+    #[test]
+    fn vertex_scheduler_compile_selection() {
+        let mut rng = FastRng::seed_from_u64(70);
+        let regular = [
+            (generators::random_regular(60, 8, &mut rng).unwrap(), 8),
+            (generators::cycle(9).unwrap(), 2),
+            (generators::circulant(20, &[1, 3, 10]).unwrap(), 5),
+            (generators::hypercube(4).unwrap(), 4),
+            (generators::torus2d(4, 5).unwrap(), 4),
+        ];
+        for (g, want_d) in &regular {
+            let n = g.num_vertices() as u32;
+            let got = compiled_vertex(g);
+            assert!(
+                matches!(got, CompiledSampler::Regular { n: gn, d } if gn == n && d == *want_d),
+                "{g}: {got:?}"
+            );
+        }
+        let k = generators::complete(12).unwrap();
+        assert!(matches!(
+            compiled_vertex(&k),
+            CompiledSampler::CompletePair { n: 12 }
+        ));
+        let irregular = [
+            generators::star(10).unwrap(),
+            generators::wheel(10).unwrap(),
+            generators::barbell(5, 2).unwrap(),
+            generators::barabasi_albert(60, 3, &mut rng).unwrap(),
+        ];
+        for g in &irregular {
+            let n = g.num_vertices() as u32;
+            let got = compiled_vertex(g);
+            assert!(
+                matches!(got, CompiledSampler::Vertex { n: gn } if gn == n),
+                "{g}: {got:?}"
+            );
+        }
+        // The regularity scan is the vertex scheduler's alone: the edge
+        // process on a regular graph keeps its edge table.
+        let (g, _) = &regular[0];
+        assert!(matches!(
+            CompiledSampler::compile(g, FastScheduler::Edge),
+            CompiledSampler::Edge { .. }
+        ));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The regular sampler is an exact rewrite of the generic vertex
+        /// pick: on the same `d`-regular graph and seed, 4 096 picks of a
+        /// hand-built `Vertex { n }` and of `Regular { n, d }` agree, and
+        /// so does the next RNG word.
+        #[test]
+        fn regular_picks_equal_generic_vertex_picks(
+            family in 0u8..3,
+            n in 4usize..200,
+            dpick in proptest::prelude::any::<u8>(),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let g = match family {
+                0 => {
+                    let mut d = 1 + dpick as usize % (n / 2).min(8);
+                    if (n * d) % 2 == 1 {
+                        d += 1;
+                    }
+                    let mut grng = FastRng::seed_from_u64(seed ^ 0x5EED);
+                    generators::random_regular(n, d, &mut grng).unwrap()
+                }
+                1 => {
+                    let wide = 2 + dpick as usize % (n / 2 - 1);
+                    generators::circulant(n, &[1, wide]).unwrap()
+                }
+                _ => generators::hypercube(1 + dpick as u32 % 8).unwrap(),
+            };
+            let n = g.num_vertices() as u32;
+            let d = g.degree(0) as u32;
+            proptest::prop_assert!(g.is_regular());
+            let generic = CompiledSampler::Vertex { n };
+            let regular = CompiledSampler::Regular { n, d };
+            let mut ra = FastRng::seed_from_u64(seed);
+            let mut rb = FastRng::seed_from_u64(seed);
+            for i in 0..4096 {
+                let a = generic.pick(&g, &mut ra);
+                let b = regular.pick(&g, &mut rb);
+                proptest::prop_assert_eq!(a, b, "pick {} on n={} d={}", i, n, d);
+            }
+            proptest::prop_assert_eq!(ra.next_u64(), rb.next_u64());
+        }
     }
 
     #[test]

@@ -1,10 +1,14 @@
 //! AVX2 kernel tier: the four lane RNGs live in four `__m256i` registers
 //! (xoshiro state word `i` of all lanes side by side), Lemire bounded
 //! sampling rides `vpmuludq`, and column scans use `vpminuw`/`vpmaxuw`.
-//! Algorithms and the masked rejection-redraw discipline mirror
-//! `super::swar` exactly — the two tiers are kept structurally parallel
-//! so the bit-exactness argument is the same; only the arithmetic width
-//! differs.
+//! It drives three sampler families: complete-pair and regular-graph
+//! vertex picks share one masked two-range draw (`pair_draw`), and the
+//! edge family uses the masked 64-bit draw (`bounded_masked`).  The
+//! masked rejection-redraw discipline is the one `super::swar` uses for
+//! the two families it drives (complete-pair and edge), so the
+//! bit-exactness argument is the same; the regular drive has no SWAR
+//! twin (a four-lane SWAR version measured about as fast as the scalar
+//! drive, so it was not kept).
 //!
 //! # Unsafe policy
 //!
@@ -129,61 +133,59 @@ impl Rng4x {
     }
 }
 
-/// Per-tier constants of the complete-pair draw.
+/// Constants of the two-range draw: the high half of each word over `n`,
+/// the low half over `r`.
 #[derive(Clone, Copy)]
 struct PairConsts {
     lo32: __m256i,
-    one: __m256i,
     nv: __m256i,
-    nm1v: __m256i,
-    tv: __m256i,
-    tw: __m256i,
+    rv: __m256i,
+    tn: __m256i,
+    tr: __m256i,
 }
 
 impl PairConsts {
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn new(n: u32) -> PairConsts {
-        let nm1 = n - 1;
+    fn new(n: u32, r: u32) -> PairConsts {
         PairConsts {
             lo32: _mm256_set1_epi64x(0xFFFF_FFFF),
-            one: _mm256_set1_epi64x(1),
             nv: _mm256_set1_epi64x(n as i64),
-            nm1v: _mm256_set1_epi64x(nm1 as i64),
+            rv: _mm256_set1_epi64x(r as i64),
             // Lemire rejection thresholds (accept ⇔ frac ≥ t); all
             // operands of the compares below are < 2³², so signed 64-bit
             // compare is exact.
-            tv: _mm256_set1_epi64x((n.wrapping_neg() % n) as i64),
-            tw: _mm256_set1_epi64x((nm1.wrapping_neg() % nm1) as i64),
+            tn: _mm256_set1_epi64x((n.wrapping_neg() % n) as i64),
+            tr: _mm256_set1_epi64x((r.wrapping_neg() % r) as i64),
         }
     }
 }
 
-/// The complete-pair draw on four lanes with masked redraw: returns
-/// `v | (w << 32)` per lane (packed so one spill serves both indices).
+/// The two-range draw on four lanes with masked redraw — the one copy
+/// the complete-pair and regular drives share.  Each lane takes one word,
+/// the high half over `n` and the low half over `r`; a lane whose either
+/// half rejects redraws its whole word, exactly as the scalar
+/// `engine::two_range_draw` does.  Returns the raw `(v, s)` (each
+/// element `< 2³²`).
 #[inline]
 #[target_feature(enable = "avx2")]
-fn pair_draw(rng4: &mut Rng4x, c: PairConsts) -> __m256i {
+fn pair_draw(rng4: &mut Rng4x, c: PairConsts) -> (__m256i, __m256i) {
     let mut words = rng4.next_words();
-    let (mut mv, mut mw);
+    let (mut mv, mut ms);
     loop {
         let hi = _mm256_srli_epi64::<32>(words);
         let lo = _mm256_and_si256(words, c.lo32);
         mv = _mm256_mul_epu32(hi, c.nv);
-        mw = _mm256_mul_epu32(lo, c.nm1v);
+        ms = _mm256_mul_epu32(lo, c.rv);
         let fv = _mm256_and_si256(mv, c.lo32);
-        let fw = _mm256_and_si256(mw, c.lo32);
-        let rej = _mm256_or_si256(_mm256_cmpgt_epi64(c.tv, fv), _mm256_cmpgt_epi64(c.tw, fw));
+        let fs = _mm256_and_si256(ms, c.lo32);
+        let rej = _mm256_or_si256(_mm256_cmpgt_epi64(c.tn, fv), _mm256_cmpgt_epi64(c.tr, fs));
         if _mm256_testz_si256(rej, rej) != 0 {
             break;
         }
         rng4.redraw_masked(&mut words, rej);
     }
-    let v = _mm256_srli_epi64::<32>(mv);
-    let w0 = _mm256_srli_epi64::<32>(mw);
-    // Skip over v: w = w0 + (w0 ≥ v) = w0 + 1 + (v > w0 ? −1 : 0).
-    let w = _mm256_add_epi64(_mm256_add_epi64(w0, c.one), _mm256_cmpgt_epi64(v, w0));
-    _mm256_or_si256(v, _mm256_slli_epi64::<32>(w))
+    (_mm256_srli_epi64::<32>(mv), _mm256_srli_epi64::<32>(ms))
 }
 
 /// Applies four packed `v | (w << 32)` draws to four lane columns.
@@ -196,8 +198,8 @@ fn toward4(cols: &mut [&mut [u16]; 4], vw: __m256i) {
     }
 }
 
-/// Lockstep AVX2 drive for the complete-pair sampler on four lanes; see
-/// `super::swar::drive_complete_pair` for the draw discipline.
+/// Lockstep AVX2 drive for the complete-pair sampler on four lanes: the
+/// two-range draw over `(n, n − 1)`, then the skip-over-`v` map.
 ///
 /// # Safety
 ///
@@ -210,12 +212,60 @@ pub(super) unsafe fn drive_complete_pair(
     steps: u64,
 ) {
     let mut rng4 = Rng4x::load(rngs);
-    let c = PairConsts::new(n);
+    let c = PairConsts::new(n, n - 1);
+    let one = _mm256_set1_epi64x(1);
     for _ in 0..steps {
-        let vw = pair_draw(&mut rng4, c);
-        toward4(cols, vw);
+        let (v, w0) = pair_draw(&mut rng4, c);
+        // Skip over v: w = w0 + (w0 ≥ v) = w0 + 1 + (v > w0 ? −1 : 0).
+        let w = _mm256_add_epi64(_mm256_add_epi64(w0, one), _mm256_cmpgt_epi64(v, w0));
+        toward4(cols, _mm256_or_si256(v, _mm256_slli_epi64::<32>(w)));
     }
     rng4.store(rngs);
+}
+
+/// Lockstep AVX2 drive for the regular-graph vertex sampler on four
+/// lanes: the two-range draw over `(n, d)`, then one neighbour load per
+/// lane, `adjacency[v·d + s]` (the CSR slots of a `d`-regular graph).
+///
+/// # Safety
+///
+/// The running CPU must support AVX2 (`is_x86_feature_detected!("avx2")`).
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn drive_regular(
+    cols: &mut [&mut [u16]; 4],
+    rngs: &mut [FastRng; 4],
+    adjacency: &[u32],
+    n: u32,
+    d: u32,
+    steps: u64,
+) {
+    let mut rng4 = Rng4x::load(rngs);
+    let c = PairConsts::new(n, d);
+    let d = d as usize;
+    for _ in 0..steps {
+        let (v, s) = pair_draw(&mut rng4, c);
+        let a = lanes_of(_mm256_or_si256(v, _mm256_slli_epi64::<32>(s)));
+        for j in 0..4 {
+            let v = a[j] as u32 as usize;
+            let w = adjacency[v * d + (a[j] >> 32) as usize] as usize;
+            toward(cols[j], v, w);
+        }
+    }
+    rng4.store(rngs);
+}
+
+/// One masked two-range draw per lane (test entry for `pair_draw`).
+///
+/// # Safety
+///
+/// The running CPU must support AVX2 (`is_x86_feature_detected!("avx2")`).
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn pair_draw_x4(rngs: &mut [FastRng; 4], n: u32, r: u32) -> [(u32, u32); 4] {
+    let mut rng4 = Rng4x::load(rngs);
+    let (v, s) = pair_draw(&mut rng4, PairConsts::new(n, r));
+    rng4.store(rngs);
+    let (v, s) = (lanes_of(v), lanes_of(s));
+    core::array::from_fn(|j| (v[j] as u32, s[j] as u32))
 }
 
 /// The masked 64-bit Lemire draw on four lanes: given the current output
@@ -264,9 +314,10 @@ fn edge_step(rng4: &mut Rng4x, cols: &mut [&mut [u16]; 4], endpoints: &[u32], tw
     }
 }
 
-/// Lockstep AVX2 drive for the edge sampler on four lanes; see
-/// `super::swar::drive_edge` for the draw discipline.  `two_m < 2³²` is
-/// guaranteed by `super::accelerates`.
+/// Lockstep AVX2 drive for the edge sampler on four lanes: one masked
+/// 64-bit Lemire draw `j ∈ [0, 2m)` per lane addresses the directed edge
+/// `(endpoints[j], endpoints[j ^ 1])`.  `two_m < 2³²` is guaranteed by
+/// `super::accelerates`.
 ///
 /// # Safety
 ///

@@ -39,10 +39,25 @@
 //! a pure performance knob, and `crates/core/tests/` assert identical
 //! trajectories under every tier.
 //!
-//! The alias-table family (`CompiledSampler::Alias`) keeps the scalar
-//! drive on every tier: its two-table indirection (slot load, threshold
-//! compare, per-vertex degree draw) is load-bound, not ALU-bound, and it
-//! exists for ablation only.  `accelerates` reports the supported
+//! # Which tier drives which sampler family
+//!
+//! | family (`CompiledSampler`) | scalar | swar | avx2 | avx512 |
+//! |---|---|---|---|---|
+//! | `CompletePair` | scalar | 4-lane | 4-lane | 8-lane |
+//! | `Edge` (`2m < 2³²`) | scalar | 4-lane | 4-lane | 8-lane |
+//! | `Regular` | scalar | scalar | 4-lane | 4-lane (AVX2 drive) |
+//! | `Vertex`, `Alias` | scalar | scalar | scalar | scalar |
+//!
+//! The complete-pair and regular drives share one masked two-range draw
+//! (one word, high half over `n`, low half over `n − 1` or `d`; see
+//! [`pair_draw_x4`]): complete-pair then skips over `v`, regular reads
+//! `adjacency[v·d + s]`.  No tier drives a vertex family in SWAR: a
+//! four-lane SWAR regular drive measured about as fast as the scalar
+//! one, and the old SWAR drive for the generic vertex family was slower
+//! than scalar, so both were left out.  The generic vertex family (an
+//! irregular graph) reads the CSR offsets mid-pick, and the alias family
+//! adds a second table and a second draw; both are load-bound, not
+//! ALU-bound.  `accelerates` and `group_width` report the driven
 //! families; `crate::batch` falls back per batch, never per lane.
 //!
 //! # Tier selection
@@ -209,14 +224,15 @@ fn warn_once(msg: &str) {
 
 /// Whether the kernel tiers accelerate this sampler family.  `false`
 /// keeps the whole batch on the scalar drive (identical results either
-/// way): the alias family is load-bound, and an edge table with `2m ≥
-/// 2³²` (a >32 GiB endpoint list) would overflow the AVX2 32×32→64
-/// Lemire multiply.
+/// way): the generic vertex and alias families read the CSR offsets or a
+/// second table mid-pick and gain nothing from lockstep words, and an
+/// edge table with `2m ≥ 2³²` (a >32 GiB endpoint list) would overflow
+/// the AVX2 32×32→64 Lemire multiply.
 pub(crate) fn accelerates(sampler: &CompiledSampler) -> bool {
     match sampler {
-        CompiledSampler::Vertex { .. } | CompiledSampler::CompletePair { .. } => true,
+        CompiledSampler::Regular { .. } | CompiledSampler::CompletePair { .. } => true,
         CompiledSampler::Edge { two_m, .. } => *two_m < (1u64 << 32),
-        CompiledSampler::Alias { .. } => false,
+        CompiledSampler::Vertex { .. } | CompiledSampler::Alias { .. } => false,
     }
 }
 
@@ -224,22 +240,23 @@ pub(crate) fn accelerates(sampler: &CompiledSampler) -> bool {
 /// pair: `8` where the AVX-512 drives pack eight lanes per `__m512i`
 /// (complete-pair and edge), `4` for the other accelerated
 /// combinations, `0` when the batch must stay on the scalar drive.  The
-/// batch engine carves its active-lane list into the widest groups
-/// first; [`drive_group`] accepts exactly the widths reported here.
+/// regular family has an AVX2 drive only (shared by the AVX-512 tier), so
+/// it is `0` on the SWAR tier.  The batch engine carves its active-lane
+/// list into the widest groups first; [`drive_group`] accepts exactly the
+/// widths reported here.
 pub(crate) fn group_width(tier: KernelTier, sampler: &CompiledSampler) -> usize {
     if tier == KernelTier::Scalar || !accelerates(sampler) {
         return 0;
     }
-    #[cfg(target_arch = "x86_64")]
-    if tier == KernelTier::Avx512
-        && matches!(
-            sampler,
-            CompiledSampler::CompletePair { .. } | CompiledSampler::Edge { .. }
-        )
-    {
-        return 8;
+    match sampler {
+        CompiledSampler::Regular { .. } if tier < KernelTier::Avx2 => 0,
+        CompiledSampler::CompletePair { .. } | CompiledSampler::Edge { .. }
+            if tier == KernelTier::Avx512 =>
+        {
+            8
+        }
+        _ => 4,
     }
-    4
 }
 
 /// Drives a group of four or eight lanes in lockstep for exactly `steps`
@@ -313,12 +330,17 @@ pub(crate) fn drive_group(
             },
             _ => swar::drive_edge(cols, rngs, endpoints, *two_m, steps),
         },
-        // The vertex family's per-step degree/neighbour lookups are
-        // scalar on every tier (gathered CSR indirection does not pay at
-        // AVX2 widths); the interleaved word generation is the win, so
-        // the AVX2 tier shares the SWAR drive.
-        CompiledSampler::Vertex { n } => swar::drive_vertex(cols, rngs, graph, *n, steps),
-        CompiledSampler::Alias { .. } => unreachable!("alias family is never accelerated"),
+        CompiledSampler::Regular { n, d } => match tier {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as above — the tier implies a successful runtime check.
+            KernelTier::Avx2 | KernelTier::Avx512 => unsafe {
+                avx2::drive_regular(cols, rngs, graph.adjacency(), *n, *d, steps)
+            },
+            _ => unreachable!("the regular family is driven on AVX2 and above only"),
+        },
+        CompiledSampler::Vertex { .. } | CompiledSampler::Alias { .. } => {
+            unreachable!("the generic vertex and alias families are never accelerated")
+        }
     }
 }
 
@@ -400,6 +422,37 @@ pub fn bounded_u64_x4(tier: KernelTier, rngs: &mut [FastRng; 4], range: u64) -> 
     }
 }
 
+/// One masked two-range draw per lane under `tier` — each lane `j`
+/// returns exactly `engine::two_range_draw(&mut rngs[j], n, r)`: one
+/// word, `bounded_u32_half` of its high half over `n` and of its low half
+/// over `r`, the whole word redrawn when either rejects.  Rejecting lanes
+/// redraw together under a lane mask.  This is the draw the complete-pair
+/// (`r = n − 1`) and regular (`r = d`) drives share, exposed so the
+/// exactness tests can hit it directly.
+///
+/// # Panics
+///
+/// Debug-panics unless `n > 0` and `r > 0`, or if `tier` is unsupported on
+/// this CPU.
+#[allow(unsafe_code)] // feature-guarded dispatch into `avx2` (see SAFETY notes)
+pub fn pair_draw_x4(tier: KernelTier, rngs: &mut [FastRng; 4], n: u32, r: u32) -> [(u32, u32); 4] {
+    debug_assert!(n > 0 && r > 0);
+    match tier {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: Avx2-or-above tier values only exist after a runtime
+        // check; four-lane draws under Avx512 share the AVX2 kernel.
+        KernelTier::Avx2 | KernelTier::Avx512 => unsafe { avx2::pair_draw_x4(rngs, n, r) },
+        KernelTier::Swar => swar::pair_draw_x4(rngs, n, r),
+        KernelTier::Scalar => {
+            core::array::from_fn(|j| crate::engine::two_range_draw(&mut rngs[j], n, r))
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        KernelTier::Avx2 | KernelTier::Avx512 => {
+            unreachable!("vector tier on a non-x86_64 build")
+        }
+    }
+}
+
 /// One masked 64-bit Lemire draw on each of eight lanes — the
 /// eight-wide twin of [`bounded_u64_x4`], native on the AVX-512 tier
 /// and split into four-lane halves (lane-independent, so exact) on the
@@ -436,7 +489,7 @@ pub fn bounded_u64_x8(tier: KernelTier, rngs: &mut [FastRng; 8], range: u64) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::bounded_u64;
+    use crate::engine::{bounded_u32_half, bounded_u64};
     use rand::SeedableRng;
 
     fn tiers() -> Vec<KernelTier> {
@@ -503,6 +556,46 @@ mod tests {
                     assert_eq!(
                         lanes[j], scalar[j],
                         "lane {j} rng position {tier:?} {range}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Every tier's shared two-range draw must replay the scalar pair of
+    /// `bounded_u32_half` draws word for word, per lane, with the RNG
+    /// positions equal after 2 048 draws.  The first two range pairs put
+    /// about half of each word's values in a rejection zone
+    /// (`2³² mod (2³¹+1) = 2³¹−1`), once in each half, so the masked
+    /// redraw runs constantly; the last two are the `regular:1000:8` and
+    /// `complete:1000` shapes.
+    #[test]
+    fn pair_draw_x4_is_bit_exact_per_lane() {
+        let wide = (1u32 << 31) + 1;
+        for (n, r) in [(wide, 3), (5, wide), (1000, 8), (1000, 999)] {
+            for tier in tiers() {
+                let mut lanes: [FastRng; 4] = std::array::from_fn(|j| {
+                    FastRng::seed_from_u64(0x9A1D + 31 * j as u64 + n as u64 + r as u64)
+                });
+                let mut scalar = lanes;
+                for _ in 0..2048 {
+                    let got = pair_draw_x4(tier, &mut lanes, n, r);
+                    for (j, rng) in scalar.iter_mut().enumerate() {
+                        let want = loop {
+                            let word = rng.next_word();
+                            let v = bounded_u32_half((word >> 32) as u32, n);
+                            let s = bounded_u32_half(word as u32, r);
+                            if let (Some(v), Some(s)) = (v, s) {
+                                break (v, s);
+                            }
+                        };
+                        assert_eq!(got[j], want, "lane {j} {tier:?} ({n}, {r})");
+                    }
+                }
+                for j in 0..4 {
+                    assert_eq!(
+                        lanes[j], scalar[j],
+                        "lane {j} rng position {tier:?} ({n}, {r})"
                     );
                 }
             }

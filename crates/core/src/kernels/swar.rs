@@ -2,10 +2,10 @@
 //! SWAR-on-u64 min/max scans.  No intrinsics, no unsafe — the straight-line
 //! per-lane loops expose cross-lane ILP that the autovectoriser maps onto
 //! baseline SSE2, and the scans pack four `u16` (two `u32`) fields per word
-//! with guard-bit partitioned compares.  Bit-exactness contract: see the
-//! module docs in `super`.
-
-use div_graph::Graph;
+//! with guard-bit partitioned compares.  It drives the complete-pair and
+//! edge families only; both vertex families (generic and regular) take
+//! the scalar drive on this tier.  The toward-step is shared with the
+//! AVX2 tier.  Bit-exactness contract: see the module docs in `super`.
 
 use crate::rng::FastRng;
 
@@ -83,10 +83,58 @@ pub(super) fn toward(col: &mut [u16], v: usize, w: usize) {
     col[v] = (xv as i32 + delta) as u16;
 }
 
-/// Lockstep drive for [`CompiledSampler::CompletePair`]: one word per
-/// step per lane, high half → `v` over `n`, low half → `w` over `n − 1`
-/// with the skip-over-`v` map.  Rejection of either half redraws the
-/// whole word, per lane, exactly as the scalar pick does.
+/// The two-range draw's ranges and their Lemire rejection thresholds,
+/// hoisted: accept ⇔ frac ≥ t (the scalar `bounded_u32_half` computes t
+/// lazily but decides the same).
+#[derive(Clone, Copy)]
+struct PairRanges {
+    n: u32,
+    r: u32,
+    tn: u32,
+    tr: u32,
+}
+
+impl PairRanges {
+    fn new(n: u32, r: u32) -> PairRanges {
+        PairRanges {
+            n,
+            r,
+            tn: n.wrapping_neg() % n,
+            tr: r.wrapping_neg() % r,
+        }
+    }
+}
+
+/// The two-range draw on four lanes: one word per lane, high half over
+/// `n`, low half over `r`; a lane whose either half rejects redraws its
+/// whole word, exactly as the scalar pick does.  Returns the raw
+/// `(v, s)` per lane.
+#[inline(always)]
+fn pair_draw(rng4: &mut Rng4, c: PairRanges) -> ([u32; 4], [u32; 4]) {
+    let mut words = rng4.next_words();
+    let mut v = [0u32; 4];
+    let mut s = [0u32; 4];
+    loop {
+        let mut rej = [false; 4];
+        let mut any = false;
+        for j in 0..4 {
+            let mv = (words[j] >> 32) * c.n as u64;
+            let ms = (words[j] & 0xFFFF_FFFF) * c.r as u64;
+            let x = ((mv as u32) < c.tn) | ((ms as u32) < c.tr);
+            rej[j] = x;
+            any |= x;
+            v[j] = (mv >> 32) as u32;
+            s[j] = (ms >> 32) as u32;
+        }
+        if !any {
+            return (v, s);
+        }
+        rng4.redraw_masked(&mut words, rej);
+    }
+}
+
+/// Lockstep drive for [`CompiledSampler::CompletePair`]: the two-range
+/// draw over `(n, n − 1)`, then the skip-over-`v` map.
 ///
 /// [`CompiledSampler::CompletePair`]: crate::engine::CompiledSampler
 pub(super) fn drive_complete_pair(
@@ -96,40 +144,24 @@ pub(super) fn drive_complete_pair(
     steps: u64,
 ) {
     let mut rng4 = Rng4::load(rngs);
-    let nm1 = n - 1;
-    // Lemire rejection thresholds, hoisted: accept ⇔ frac ≥ t (the
-    // scalar `bounded_u32_half` computes t lazily but decides the same).
-    let tv = n.wrapping_neg() % n;
-    let tw = nm1.wrapping_neg() % nm1;
+    let c = PairRanges::new(n, n - 1);
     for _ in 0..steps {
-        let mut words = rng4.next_words();
-        let mut v = [0u32; 4];
-        let mut w = [0u32; 4];
-        loop {
-            let mut rej = [false; 4];
-            let mut any = false;
-            for j in 0..4 {
-                let mv = (words[j] >> 32) * n as u64;
-                let mw = (words[j] & 0xFFFF_FFFF) * nm1 as u64;
-                let r = ((mv as u32) < tv) | ((mw as u32) < tw);
-                rej[j] = r;
-                any |= r;
-                let vj = (mv >> 32) as u32;
-                let w0 = (mw >> 32) as u32;
-                v[j] = vj;
-                // Skip over v: maps [0, n−1) onto [0, n) \ {v}.
-                w[j] = w0 + (w0 >= vj) as u32;
-            }
-            if !any {
-                break;
-            }
-            rng4.redraw_masked(&mut words, rej);
-        }
+        let (v, w) = pair_draw(&mut rng4, c);
         for j in 0..4 {
-            toward(cols[j], v[j] as usize, w[j] as usize);
+            // Skip over v: maps [0, n−1) onto [0, n) \ {v}.
+            let w = w[j] + (w[j] >= v[j]) as u32;
+            toward(cols[j], v[j] as usize, w as usize);
         }
     }
     rng4.store(rngs);
+}
+
+/// One two-range draw per lane (test entry for `pair_draw`).
+pub(super) fn pair_draw_x4(rngs: &mut [FastRng; 4], n: u32, r: u32) -> [(u32, u32); 4] {
+    let mut rng4 = Rng4::load(rngs);
+    let (v, s) = pair_draw(&mut rng4, PairRanges::new(n, r));
+    rng4.store(rngs);
+    core::array::from_fn(|j| (v[j], s[j]))
 }
 
 /// Lockstep drive for [`CompiledSampler::Edge`]: one 64-bit Lemire draw
@@ -168,59 +200,6 @@ pub(super) fn drive_edge(
             let a = endpoints[idx[j]] as usize;
             let b = endpoints[idx[j] ^ 1] as usize;
             toward(cols[j], a, b);
-        }
-    }
-    rng4.store(rngs);
-}
-
-/// Lockstep drive for [`CompiledSampler::Vertex`]: high half → `v` over
-/// `n`, low half → neighbour slot over `d(v)`.  The degree lookup for a
-/// lane that is about to redraw is harmless (the candidate is always
-/// `< n`) and consumes no draw, so word consumption matches the scalar
-/// pick exactly.
-///
-/// [`CompiledSampler::Vertex`]: crate::engine::CompiledSampler
-pub(super) fn drive_vertex(
-    cols: &mut [&mut [u16]; 4],
-    rngs: &mut [FastRng; 4],
-    graph: &Graph,
-    n: u32,
-    steps: u64,
-) {
-    let mut rng4 = Rng4::load(rngs);
-    let tv = n.wrapping_neg() % n;
-    for _ in 0..steps {
-        let mut words = rng4.next_words();
-        let mut v = [0usize; 4];
-        let mut slot = [0usize; 4];
-        loop {
-            let mut rej = [false; 4];
-            let mut any = false;
-            for j in 0..4 {
-                let mv = (words[j] >> 32) * n as u64;
-                let vj = (mv >> 32) as usize;
-                let mut r = (mv as u32) < tv;
-                let d = graph.degree(vj) as u32;
-                let ms = (words[j] & 0xFFFF_FFFF) * d as u64;
-                let fs = ms as u32;
-                // Lazy threshold, like the scalar slow path: only a draw
-                // with frac < d can reject, and only below the exact t.
-                if fs < d {
-                    r |= fs < d.wrapping_neg() % d;
-                }
-                rej[j] = r;
-                any |= r;
-                v[j] = vj;
-                slot[j] = (ms >> 32) as usize;
-            }
-            if !any {
-                break;
-            }
-            rng4.redraw_masked(&mut words, rej);
-        }
-        for j in 0..4 {
-            let w = graph.neighbor(v[j], slot[j]);
-            toward(cols[j], v[j], w);
         }
     }
     rng4.store(rngs);

@@ -112,6 +112,29 @@ impl Graph {
         span[i] as usize
     }
 
+    /// The CSR neighbour slots: every vertex's sorted neighbour list, laid
+    /// end to end in vertex order (length `2m`, `O(1)`).
+    ///
+    /// On a `d`-regular graph `offsets[v] = v·d`, so vertex `v`'s list is
+    /// `adjacency()[v·d..(v + 1)·d]` and `neighbor(v, i)` is
+    /// `adjacency()[v·d + i]` — one load, no offset lookup.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// # fn main() -> Result<(), div_graph::GraphError> {
+    /// let g = div_graph::generators::cycle(5)?;
+    /// let d = 2;
+    /// assert_eq!(g.adjacency().len(), g.total_degree());
+    /// assert_eq!(g.adjacency()[3 * d + 1] as usize, g.neighbor(3, 1));
+    /// # Ok(())
+    /// # }
+    /// ```
+    #[inline]
+    pub fn adjacency(&self) -> &[u32] {
+        &self.neighbors
+    }
+
     /// Iterator over the neighbours of `v` in ascending order.
     ///
     /// # Panics
